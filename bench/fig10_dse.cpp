@@ -130,10 +130,8 @@ main(int argc, char **argv)
     const TraceCacheStats cache = traceCacheStats();
 
     // Distributed legs: the same sweep fanned out over worker
-    // subprocesses (multi-process engine, dse/distributor.h), once
-    // per transport -- pipe fds and loopback TCP sockets -- so the
-    // socket layer's cost shows up as a separate trend line. Worker
-    // processes trace from their own cold caches, so each leg
+    // subprocesses (multi-process engine, dse/distributor.h). Worker
+    // processes trace from their own cold caches, so the cold leg
     // measures the full remote cost: wire round trip + per-worker
     // front end + batched backend. Must be bit-identical like every
     // other leg.
@@ -141,19 +139,14 @@ main(int argc, char **argv)
     struct DistLeg
     {
         const char *name;
-        DseTransport transport;
         double seconds = 0;
         size_t mismatches = 0;
         DistributorStats stats;
     };
-    std::vector<DistLeg> distLegs = {
-        {"pipe", DseTransport::Pipe, 0, 0, {}},
-        {"loopback_tcp", DseTransport::LoopbackTcp, 0, 0, {}},
-    };
+    std::vector<DistLeg> distLegs = {{"pipe", 0, 0, {}}};
     auto runDistLeg = [&](DistLeg &leg) {
         DistributorOptions dopts;
         dopts.stats = &leg.stats;
-        dopts.transport = leg.transport;
         const auto t3 = std::chrono::steady_clock::now();
         const std::vector<DsePoint> dist =
             ex.evaluateAllDistributed(reqs, dseWorkers, dopts);
@@ -171,8 +164,8 @@ main(int argc, char **argv)
 
     // Warm distributed legs: prime the persistent artifact cache with
     // every front-end trace from the master process, export the cache
-    // dir so the spawned workers inherit it, and re-run both
-    // transports. Each worker then loads every trace from disk
+    // dir so the spawned workers inherit it, and re-run the sweep.
+    // Each worker then loads every trace from disk
     // instead of re-tracing it, isolating the spawn + handshake +
     // wire + backend remainder -- the cold legs above keep the legacy
     // trend line, whose sub-1x "speedup" is dominated by per-worker
@@ -188,19 +181,14 @@ main(int argc, char **argv)
         OptStats stats;
         (void)ex.framework().traceShared(opt, stats); // writes artifact
     }
-    std::vector<DistLeg> warmLegs = {
-        {"pipe_warm", DseTransport::Pipe, 0, 0, {}},
-        {"loopback_tcp_warm", DseTransport::LoopbackTcp, 0, 0, {}},
-    };
-    for (DistLeg &leg : warmLegs)
-        runDistLeg(leg);
+    distLegs.push_back({"pipe_warm", 0, 0, {}});
+    runDistLeg(distLegs.back());
     unsetenv(kArtifactCacheEnv);
     configureArtifactCache("");
-    distLegs.insert(distLegs.end(), warmLegs.begin(), warmLegs.end());
 
     // Determinism contract: the parallel and distributed sweeps are
     // bit-identical to the serial one. Counted per leg (parallel /
-    // warm / per-transport distributed) so an identity failure in CI
+    // warm / cold and warm distributed) so an identity failure in CI
     // names the engine that diverged.
     size_t parallelMismatches = 0;
     for (size_t i = 0; i < points.size(); ++i) {
@@ -298,7 +286,7 @@ main(int argc, char **argv)
         .num("speedup", speedup)
         .count("dse_workers", static_cast<size_t>(dseWorkers));
     // Legacy aggregate keys (pipe leg) so existing trend lines keep
-    // their history, then one block per transport. The fault-tolerance
+    // their history, then one block per leg. The fault-tolerance
     // counters are informational, not gated: all zero on a healthy
     // run, non-zero under an ambient FINESSE_DSE_FAULT plan or a
     // loaded machine -- trend tracking only.

@@ -56,18 +56,15 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--passes=<list>",
      "comma-separated pass pipeline (ablation): front-end subset of "
      "constfold,zerooneprop,strengthreduce,gvn,dce and/or backend "
-     "subset of bankalloc,packsched,regalloc,encode"},
+     "subset of bankalloc,packsched,regalloc,encode (a backend "
+     "subset is rejected by `dse`/`dse-search`)"},
     {"--pass-stats", "print the per-pass instruction/time attribution"},
-    {"--no-trace-cache", "disable the front-end trace cache"},
     {"--jobs=N",
      "worker threads: `dse` sweep fan-out and `serve`/`verify-batch` "
      "verifier lanes (0 = hardware concurrency, 1 = serial)"},
     {"--dse-workers=N",
      "run the `dse` sweep on N worker subprocesses (0 = in-process "
      "on --jobs threads)"},
-    {"--dse-transport={pipe|loopback-tcp}",
-     "transport for locally spawned dse workers (default "
-     "FINESSE_DSE_TRANSPORT env / pipe)"},
     {"--dse-hosts=host:port,...",
      "pool of running `dse-worker --listen` peers; the token \"local\" "
      "pins a local slot (default FINESSE_DSE_HOSTS env / all-local)"},
@@ -106,9 +103,6 @@ inline constexpr CliDoc kCliFlags[] = {
     {"--listen=host:port",
      "`dse-worker`: serve masters over TCP instead of stdin/stdout "
      "(port 0 = ephemeral, announced in the banner)"},
-    {"--connect=host:port",
-     "`dse-worker`: dial a waiting master (loopback-tcp transport; "
-     "set by the spawner, rarely typed by hand)"},
     {"--max-accepts=N",
      "`dse-worker --listen`: exit after serving N masters (-1 = "
      "forever; keeps chaos tests bounded)"},

@@ -219,14 +219,6 @@ std::shared_ptr<const Module>
 sharedFrontend(const ICurveHandle &h, const CompileOptions &opt,
                OptStats &statsOut)
 {
-    auto traceNow = [&] {
-        Module m = h.trace(opt.variants, opt.part, false, nullptr);
-        statsOut = runFrontendPipeline(m, opt.frontendPasses());
-        return m;
-    };
-    if (!opt.useTraceCache)
-        return std::make_shared<const Module>(traceNow());
-
     const std::string key = traceCacheKey(h.info().def.name, opt);
     TraceShard &shard =
         traceShards()[std::hash<std::string>{}(key) % kNumTraceShards];
@@ -256,8 +248,12 @@ sharedFrontend(const ICurveHandle &h, const CompileOptions &opt,
             if (loadTraceArtifact(key, entry)) {
                 statsOut = entry.stats;
             } else {
-                entry.module = traceNow();
-                entry.stats = statsOut;
+                entry.module =
+                    h.trace(opt.variants, opt.part, false, nullptr);
+                entry.stats =
+                    runFrontendPipeline(entry.module,
+                                        opt.frontendPasses());
+                statsOut = entry.stats;
                 storeTraceArtifact(key, entry);
             }
             std::lock_guard<std::mutex> sl(slot->mutex);
@@ -301,11 +297,6 @@ Module
 cachedFrontend(const ICurveHandle &h, const CompileOptions &opt,
                OptStats &statsOut)
 {
-    if (!opt.useTraceCache) {
-        Module m = h.trace(opt.variants, opt.part, false, nullptr);
-        statsOut = runFrontendPipeline(m, opt.frontendPasses());
-        return m;
-    }
     return *sharedFrontend(h, opt, statsOut); // clone
 }
 

@@ -48,13 +48,6 @@ struct CompileOptions
     std::vector<std::string> passes;
 
     /**
-     * Reuse the process-wide front-end trace cache keyed by (curve,
-     * variants, part, front-end pipeline): a traced + optimized module
-     * is computed once and cloned for each hardware point.
-     */
-    bool useTraceCache = true;
-
-    /**
      * Worker threads for design-space sweeps (Explorer::evaluateAll
      * and the parallel exploreVariants path). 0 = hardware
      * concurrency, 1 = serial. Does not affect a single compile() and

@@ -10,8 +10,6 @@
  *   part                  full | miller | finalexp
  *   passes                comma-separated pass pipeline (ablation);
  *                         empty = standard (see compiler/pipeline.h)
- *   trace_cache           bool, reuse cached front-end traces (default
- *                         true)
  *   jobs                  sweep worker threads (0 = hardware
  *                         concurrency, 1 = serial; default 0)
  *   dse_workers           sweep worker SUBPROCESSES (multi-process
@@ -23,13 +21,11 @@
  *   dse.respawns          replacement-worker budget (-1 = 2x width)
  *   dse.fallback_local    evaluate in-process instead of failing when
  *                         retries/pool run out (default true)
- *   dse.transport         pipe | loopback-tcp (worker transport;
- *                         default = FINESSE_DSE_TRANSPORT env / pipe)
  *   dse.hosts             comma-separated host:port remote worker pool
  *                         ("local" pins a local slot; default =
  *                         FINESSE_DSE_HOSTS env / all-local)
- *   dse.connect_ms        remote connect / loopback accept deadline
- *                         (0 = the handshake window)
+ *   dse.connect_ms        remote connect deadline (0 = the handshake
+ *                         window)
  *   hw.long_lat, hw.short_lat, hw.inv_lat        itineraries
  *   hw.issue_width, hw.lin_units, hw.banks       datapath shape
  *   hw.fifo, hw.fifo_depth, hw.beta              write-back / affinity
@@ -61,7 +57,6 @@ optionsFromConfig(const Config &cfg)
     opt.optimize = cfg.getBool("optimize", true);
     opt.listSchedule = cfg.getBool("schedule", true);
     opt.passes = parsePassList(cfg.getString("passes", ""));
-    opt.useTraceCache = cfg.getBool("trace_cache", true);
     opt.jobs = static_cast<int>(cfg.getInt("jobs", 0));
     FINESSE_REQUIRE(opt.jobs >= 0, "jobs must be >= 0");
     opt.dseWorkers = static_cast<int>(cfg.getInt("dse_workers", 0));
@@ -145,28 +140,9 @@ applyDistributorConfig(const Config &cfg, DistributorOptions &dopts)
         cfg.getInt("dse.respawns", dopts.maxRespawns));
     dopts.fallbackLocal =
         cfg.getBool("dse.fallback_local", dopts.fallbackLocal);
-    const std::string transport = cfg.getString("dse.transport", "");
-    if (transport == "pipe")
-        dopts.transport = DseTransport::Pipe;
-    else if (transport == "loopback-tcp")
-        dopts.transport = DseTransport::LoopbackTcp;
-    else
-        FINESSE_REQUIRE(transport.empty(),
-                        "bad dse.transport: ", transport);
     const std::string hosts = cfg.getString("dse.hosts", "");
-    if (!hosts.empty()) {
-        dopts.hosts.clear();
-        size_t from = 0;
-        while (from <= hosts.size()) {
-            size_t comma = hosts.find(',', from);
-            if (comma == std::string::npos)
-                comma = hosts.size();
-            if (comma > from)
-                dopts.hosts.push_back(
-                    hosts.substr(from, comma - from));
-            from = comma + 1;
-        }
-    }
+    if (!hosts.empty())
+        dopts.hosts = parseHostList(hosts);
     dopts.connectTimeoutMs = static_cast<int>(
         cfg.getInt("dse.connect_ms", dopts.connectTimeoutMs));
 }

@@ -3,10 +3,9 @@
  * Master/worker implementation of the fault-tolerant distributed
  * sweep.
  *
- * Master: groups requests by front-end trace key (non-batchable
- * requests become singleton groups), builds a pool of worker
- * CONNECTIONS -- pipe subprocesses, loopback-TCP subprocesses, or
- * remote `dse-worker --listen` peers named by a host pool -- and runs
+ * Master: groups requests by front-end trace key, builds a pool of
+ * worker CONNECTIONS -- pipe subprocesses or remote
+ * `dse-worker --listen` peers named by a host pool -- and runs
  * a poll() loop with finite timeouts. Workers are admitted by a Hello
  * handshake (protocol version + curve-catalog hash) before any
  * dispatch; until the Hello is validated the slot's frame buffer is
@@ -20,8 +19,8 @@
  * a per-group retry budget with capped exponential backoff. Remote
  * hosts that fail to connect are quarantined with the same capped
  * backoff and retried on that timer; in the meantime the slot refills
- * with a local worker (remoteDegradeToLocal), so losing every remote
- * degrades to the all-local path. Once the backlog drains,
+ * with a local worker, so losing every remote degrades to the
+ * all-local path. Once the backlog drains,
  * long-running stragglers are hedged: the same group goes to an idle
  * worker and the first result wins (safe -- both compute identical
  * bits). When a group exhausts its retries or the pool empties for
@@ -85,6 +84,11 @@ constexpr int kHandshakeFloorMs = 5000;
 /** Liveness default when neither the option nor the env is set. */
 constexpr int kDefaultLivenessMs = 10000;
 
+/** Re-dispatch and host-quarantine backoff: base delay, doubling per
+ *  consecutive failure, capped. */
+constexpr int kRetryBackoffMs = 50;
+constexpr int kRetryBackoffCapMs = 2000;
+
 /**
  * Frame-payload cap for a peer that has not completed its handshake:
  * a Hello is ~20 bytes, so anything beyond a few KB before admission
@@ -109,6 +113,15 @@ i64
 msUntil(Clock::time_point t, Clock::time_point now)
 {
     return std::chrono::duration_cast<milliseconds>(t - now).count();
+}
+
+/** Capped exponential backoff after @p failures consecutive ones. */
+milliseconds
+backoffAfter(int failures)
+{
+    const int shift = std::min(failures - 1, 20);
+    return milliseconds(std::min<i64>(
+        kRetryBackoffCapMs, static_cast<i64>(kRetryBackoffMs) << shift));
 }
 
 /** One pending/in-flight trace-key group. */
@@ -182,19 +195,20 @@ DistributorStats::describe() const
     return os.str();
 }
 
-DseTransport
-resolveDseTransport(DseTransport requested)
+std::vector<std::string>
+parseHostList(const std::string &text)
 {
-    if (requested != DseTransport::Default)
-        return requested;
-    const char *v = std::getenv(kTransportEnv);
-    if (!v || !*v || std::strcmp(v, "pipe") == 0)
-        return DseTransport::Pipe;
-    if (std::strcmp(v, "loopback-tcp") == 0 ||
-        std::strcmp(v, "tcp") == 0)
-        return DseTransport::LoopbackTcp;
-    fatal("unknown ", kTransportEnv, " '", v,
-          "' (expected pipe | loopback-tcp)");
+    std::vector<std::string> out;
+    size_t from = 0;
+    while (from <= text.size()) {
+        size_t comma = text.find(',', from);
+        if (comma == std::string::npos)
+            comma = text.size();
+        if (comma > from)
+            out.push_back(text.substr(from, comma - from));
+        from = comma + 1;
+    }
+    return out;
 }
 
 FaultPlan
@@ -333,29 +347,15 @@ distributeEvaluate(const std::string &curve,
     // Group by front-end trace key (groupByTraceKey: the SAME
     // grouping the in-process engine applies) so one dispatch
     // amortizes the worker-side trace + prep across every point that
-    // shares it. Requests the batched engine would not group ride as
-    // singleton groups; the worker's evaluateAll applies the same
-    // split, so the evaluation path per point is identical either
-    // way.
+    // shares it.
     std::vector<Group> groups;
-    {
-        GroupedRequests grouping = groupByTraceKey(curve, points);
-        groups.reserve(grouping.byKey.size() +
-                       grouping.ungrouped.size());
-        for (std::vector<size_t> &indices : grouping.byKey)
-            groups.push_back({std::move(indices), 0, 0, false, false,
-                              Clock::time_point{}});
-        for (size_t i : grouping.ungrouped)
-            groups.push_back(
-                {{i}, 0, 0, false, false, Clock::time_point{}});
-    }
+    for (std::vector<size_t> &indices :
+         groupByTraceKey(curve, points).byKey)
+        groups.push_back({std::move(indices), 0, 0, false, false,
+                          Clock::time_point{}});
     stats.groups = groups.size();
 
-    std::vector<std::string> cmd = opts.workerCommand;
-    if (cmd.empty())
-        cmd = {selfExePath(), "dse-worker"};
-
-    const DseTransport transport = resolveDseTransport(opts.transport);
+    const std::vector<std::string> cmd = {selfExePath(), "dse-worker"};
 
     const int livenessMs =
         opts.livenessTimeoutMs > 0
@@ -373,19 +373,9 @@ distributeEvaluate(const std::string &curve,
         std::vector<std::string> specs = opts.hosts;
         if (specs.empty()) {
             const char *env = std::getenv(kHostsEnv);
-            std::string text = env ? env : "";
-            size_t from = 0;
-            while (from <= text.size() && !text.empty()) {
-                size_t comma = text.find(',', from);
-                if (comma == std::string::npos)
-                    comma = text.size();
-                specs.push_back(text.substr(from, comma - from));
-                from = comma + 1;
-            }
+            specs = parseHostList(env ? env : "");
         }
         for (const std::string &spec : specs) {
-            if (spec.empty())
-                continue;
             HostState h;
             if (spec == "local")
                 h.local = true;
@@ -410,34 +400,22 @@ distributeEvaluate(const std::string &curve,
     // half, the proxy lifts out only the network-kind terms -- and
     // only when no explicit worker plans pin the slots (a test that
     // pins its workers expects no ambient interference at all).
-    const bool explicitWorkerPlans = !opts.workerFaultPlans.empty() ||
-                                     opts.killAllWorkers ||
-                                     opts.killWorkerIndex >= 0;
+    const bool explicitWorkerPlans = !opts.workerFaultPlans.empty();
     const char *ambientSpec = std::getenv(kFaultPlanEnv);
 
     std::vector<WorkerSlot> pool(static_cast<size_t>(n));
     for (int w = 0; w < n; ++w) {
         WorkerSlot &ws = pool[static_cast<size_t>(w)];
-        ws.env = opts.workerEnv;
         if (!hosts.empty())
             ws.hostIdx = w % static_cast<int>(hosts.size());
-        std::string plan;
-        bool explicitPlan = false;
-        if (!opts.workerFaultPlans.empty()) {
-            plan = opts.workerFaultPlans[static_cast<size_t>(w) %
-                                         opts.workerFaultPlans.size()];
-            explicitPlan = true;
-        }
-        if (plan.empty() &&
-            (opts.killAllWorkers || w == opts.killWorkerIndex)) {
-            plan = "kill@group:0";
-            explicitPlan = true;
-        }
         // An explicit plan (even an empty one) is always exported so
         // it shadows any ambient FINESSE_DSE_FAULT: chaos tests pin
         // exactly which slots fault no matter what CI injects.
-        if (explicitPlan)
-            ws.env.push_back(std::string(kFaultPlanEnv) + "=" + plan);
+        if (explicitWorkerPlans)
+            ws.env.push_back(
+                std::string(kFaultPlanEnv) + "=" +
+                opts.workerFaultPlans[static_cast<size_t>(w) %
+                                      opts.workerFaultPlans.size()]);
 
         FaultPlan net;
         if (!opts.networkFaultPlans.empty())
@@ -457,23 +435,14 @@ distributeEvaluate(const std::string &curve,
     const auto quarantineHost = [&](HostState &h,
                                     Clock::time_point now) {
         ++h.failures;
-        const int shift = std::min(h.failures - 1, 20);
-        const i64 backoff =
-            std::min<i64>(opts.retryBackoffCapMs,
-                          static_cast<i64>(opts.retryBackoffMs)
-                              << shift);
-        h.eligibleAt = now + milliseconds(backoff);
+        h.eligibleAt = now + backoffAfter(h.failures);
         ++stats.hostQuarantines;
     };
 
-    enum class Spawn {
-        Ok,       ///< slot is up (remote or local)
-        Failed,   ///< attempt made and lost (consumes respawn budget)
-        Deferred, ///< host quarantined, no local refill: retry later
-    };
-
+    // Returns false when the attempt was lost (it still consumes
+    // respawn budget); a quarantined remote slot refills locally.
     const auto trySpawnSlot = [&](WorkerSlot &ws,
-                                  Clock::time_point now) -> Spawn {
+                                  Clock::time_point now) -> bool {
         // Scripted connect refusal (chaos): the failure itself is the
         // point -- exercise the master's retry/degrade reaction
         // without needing an actually-unreachable host.
@@ -481,7 +450,7 @@ distributeEvaluate(const std::string &curve,
                                 ws.connectAttempts)) {
             ++ws.connectAttempts;
             ++stats.networkFaultsInjected;
-            return Spawn::Failed;
+            return false;
         }
         ++ws.connectAttempts;
 
@@ -492,8 +461,6 @@ distributeEvaluate(const std::string &curve,
         bool degraded = false;
         if (host && !host->local) {
             if (msUntil(host->eligibleAt, now) > 0) {
-                if (!opts.remoteDegradeToLocal)
-                    return Spawn::Deferred;
                 degraded = true; // quarantined: refill locally for now
             } else {
                 std::string err;
@@ -506,8 +473,6 @@ distributeEvaluate(const std::string &curve,
                     std::fprintf(stderr, "distributed sweep: %s\n",
                                  err.c_str());
                     quarantineHost(*host, now);
-                    if (!opts.remoteDegradeToLocal)
-                        return Spawn::Failed;
                     degraded = true;
                 }
             }
@@ -515,23 +480,10 @@ distributeEvaluate(const std::string &curve,
         if (!conn) {
             if (degraded)
                 ++stats.remoteDegraded;
-            if (transport == DseTransport::LoopbackTcp) {
-                std::string err;
-                conn = spawnLoopbackTcpConnection(cmd, ws.env,
-                                                  connectMs, &err);
-                if (!conn) {
-                    std::fprintf(stderr,
-                                 "distributed sweep: loopback worker: "
-                                 "%s\n",
-                                 err.c_str());
-                    return Spawn::Failed;
-                }
-            } else {
-                conn = spawnSubprocessConnection(cmd, ws.env);
-            }
+            conn = spawnSubprocessConnection(cmd, ws.env);
         }
 
-        // Stream-level chaos: wrap ANY transport in the fault proxy
+        // Stream-level chaos: wrap pipe or TCP in the fault proxy
         // when frame-site actions are scripted. The slot's template
         // is COPIED per connection, so a respawned slot replays its
         // stream faults afresh (exactly like worker-side plans) --
@@ -548,7 +500,7 @@ distributeEvaluate(const std::string &curve,
         ws.lastProgress = Clock::now();
         ws.lastPingAt = ws.lastProgress;
         ++stats.workersSpawned;
-        return Spawn::Ok;
+        return true;
     };
 
     for (WorkerSlot &ws : pool)
@@ -597,12 +549,7 @@ distributeEvaluate(const std::string &curve,
         }
         ++grp.retries;
         ++stats.redispatches;
-        const int shift = std::min(grp.retries - 1, 20);
-        const i64 backoff =
-            std::min<i64>(opts.retryBackoffCapMs,
-                          static_cast<i64>(opts.retryBackoffMs)
-                              << shift);
-        grp.eligibleAt = now + milliseconds(backoff);
+        grp.eligibleAt = now + backoffAfter(grp.retries);
         pending.push_front(g);
     };
 
@@ -705,34 +652,24 @@ distributeEvaluate(const std::string &curve,
         }
 
         // (2) Elastic respawn: keep the pool at full width while the
-        // budget lasts and work remains. A slot whose host is
-        // quarantined (and no local refill allowed) defers without
-        // consuming budget -- the quarantine timer retries it.
-        bool spawnDeferred = false;
+        // budget lasts and work remains.
         for (WorkerSlot &ws : pool) {
             if (completed >= groups.size() || respawnBudget <= 0)
                 break;
             if (ws.state != WorkerSlot::State::Dead)
                 continue;
-            const Spawn got = trySpawnSlot(ws, now);
-            if (got == Spawn::Deferred) {
-                spawnDeferred = true;
-                continue;
-            }
             --respawnBudget;
-            if (got == Spawn::Ok)
+            if (trySpawnSlot(ws, now))
                 ++stats.respawns;
         }
 
         // (3) Pool empty for good: finish the sweep in-process (or
-        // fail, preserving the pre-fallback contract). Deferred
-        // spawns keep the sweep alive -- a quarantined host may yet
-        // come back before the budget runs out.
+        // fail, preserving the pre-fallback contract).
         const bool anyAlive = std::any_of(
             pool.begin(), pool.end(), [](const WorkerSlot &ws) {
                 return ws.state != WorkerSlot::State::Dead;
             });
-        if (!anyAlive && !spawnDeferred) {
+        if (!anyAlive) {
             if (!opts.fallbackLocal)
                 fatal("distributed sweep: all ", n, " workers died (",
                       groups.size() - completed, " groups unfinished)");
@@ -797,20 +734,12 @@ distributeEvaluate(const std::string &curve,
             break;
 
         // (5) Finite poll timeout from the next deadline: liveness
-        // windows, ping due times, retry-backoff gates, hedge
-        // eligibility and host-quarantine expiries all wake the loop
-        // exactly when they mature.
+        // windows, ping due times, retry-backoff gates and hedge
+        // eligibility all wake the loop exactly when they mature.
         i64 timeoutMs = 1000;
         for (const WorkerSlot &ws : pool) {
             switch (ws.state) {
               case WorkerSlot::State::Dead:
-                if (ws.hostIdx >= 0 &&
-                    !hosts[static_cast<size_t>(ws.hostIdx)].local)
-                    timeoutMs = std::min(
-                        timeoutMs,
-                        msUntil(hosts[static_cast<size_t>(ws.hostIdx)]
-                                    .eligibleAt,
-                                now));
                 break;
               case WorkerSlot::State::Handshake:
                 timeoutMs = std::min(
@@ -861,13 +790,6 @@ distributeEvaluate(const std::string &curve,
                 continue;
             fds.push_back({pool[w].conn->pollFd(), POLLIN, 0});
             fdWorker.push_back(w);
-        }
-        if (fds.empty()) {
-            // Everything is dead but a deferred spawn is pending:
-            // sleep to the quarantine expiry instead of spinning.
-            std::this_thread::sleep_for(
-                milliseconds(std::max<i64>(timeoutMs, 1)));
-            continue;
         }
 
         int rc;
@@ -1304,36 +1226,17 @@ runDseWorkerListen(const std::string &listenSpec, int maxAccepts)
     return 0;
 }
 
-int
-runDseWorkerConnect(const std::string &connectSpec)
-{
-    ignoreSigpipe();
-    std::string err;
-    const int fd =
-        tcpConnect(parseHostPort(connectSpec), kDefaultLivenessMs,
-                   &err);
-    if (fd < 0) {
-        std::fprintf(stderr, "dse-worker: %s\n", err.c_str());
-        return 1;
-    }
-    const int rc = runDseWorker(fd, fd);
-    ::close(fd);
-    return rc;
-}
-
 std::optional<int>
 maybeRunDseWorkerMain(int argc, char **argv)
 {
     if (argc < 2 || std::strcmp(argv[1], "dse-worker") != 0)
         return std::nullopt;
-    std::string listen, connect;
+    std::string listen;
     int maxAccepts = -1;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--listen=", 0) == 0) {
             listen = arg.substr(9);
-        } else if (arg.rfind("--connect=", 0) == 0) {
-            connect = arg.substr(10);
         } else if (arg.rfind("--max-accepts=", 0) == 0) {
             char *end = nullptr;
             const long v = std::strtol(arg.c_str() + 14, &end, 10);
@@ -1350,16 +1253,8 @@ maybeRunDseWorkerMain(int argc, char **argv)
             return 2;
         }
     }
-    if (!listen.empty() && !connect.empty()) {
-        std::fprintf(
-            stderr,
-            "dse-worker: --listen and --connect are exclusive\n");
-        return 2;
-    }
     if (!listen.empty())
         return runDseWorkerListen(listen, maxAccepts);
-    if (!connect.empty())
-        return runDseWorkerConnect(connect);
     return runDseWorker();
 }
 

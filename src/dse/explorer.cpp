@@ -10,7 +10,6 @@
  */
 #include "dse/explorer.h"
 
-#include <optional>
 #include <unordered_map>
 
 #include "compiler/backendprep.h"
@@ -137,30 +136,34 @@ evaluatePoint(const Framework &fw, const Module &m, const TracePrep &prep,
     return p;
 }
 
-} // namespace
-
-bool
-batchableRequest(const CompileOptions &opt)
+/** Sweeps run the standard backend pipeline; see groupByTraceKey. */
+void
+requireStandardBackend(const CompileOptions &opt)
 {
-    return opt.useTraceCache && opt.backendPasses() == backendPassNames();
+    const std::vector<std::string> passes = opt.backendPasses();
+    if (passes == backendPassNames())
+        return;
+    std::string list;
+    for (const std::string &name : passes)
+        list += (list.empty() ? "" : ",") + name;
+    fatal("design-space sweeps run the standard backend pipeline; "
+          "backend passes '", list,
+          "' are an ablation (use finesse_cli compile --passes=...)");
 }
+
+} // namespace
 
 GroupedRequests
 groupByTraceKey(const std::string &curve,
                 const std::vector<DseRequest> &points)
 {
     GroupedRequests out;
-    std::optional<Framework> fw;
+    const Framework fw(curve);
     std::unordered_map<std::string, size_t> keyIndex;
     for (size_t i = 0; i < points.size(); ++i) {
-        if (!batchableRequest(points[i].opt)) {
-            out.ungrouped.push_back(i);
-            continue;
-        }
-        if (!fw)
-            fw.emplace(curve);
+        requireStandardBackend(points[i].opt);
         const auto [it, inserted] =
-            keyIndex.emplace(fw->traceKey(points[i].opt),
+            keyIndex.emplace(fw.traceKey(points[i].opt),
                              out.byKey.size());
         if (inserted)
             out.byKey.emplace_back();
@@ -170,24 +173,10 @@ groupByTraceKey(const std::string &curve,
 }
 
 DsePoint
-Explorer::evaluateLegacy(const CompileOptions &opt, int cores,
-                         const std::string &label) const
-{
-    DsePoint p;
-    p.label = label;
-    p.variants = opt.variants;
-    p.hw = opt.hw;
-    p.cores = cores;
-    fillMetrics(p, fw_, fw_.compile(opt), cores);
-    return p;
-}
-
-DsePoint
 Explorer::evaluate(const CompileOptions &opt, int cores,
                    const std::string &label) const
 {
-    if (!batchableRequest(opt))
-        return evaluateLegacy(opt, cores, label);
+    requireStandardBackend(opt);
     OptStats stats;
     const std::shared_ptr<const Module> trace =
         fw_.traceShared(opt, stats);
@@ -202,9 +191,8 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
 {
     std::vector<DsePoint> out(points.size());
 
-    // Bucket batchable requests by trace key (the shared grouping
-    // definition, groupByTraceKey); everything else goes through the
-    // legacy per-point path in phase B.
+    // Bucket requests by trace key (the shared grouping definition,
+    // groupByTraceKey).
     struct TraceGroup
     {
         std::shared_ptr<const Module> module;
@@ -213,8 +201,7 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
     };
     const GroupedRequests grouping = groupByTraceKey(curve_, points);
     std::vector<TraceGroup> groups(grouping.byKey.size());
-    constexpr size_t kUngrouped = static_cast<size_t>(-1);
-    std::vector<size_t> groupOf(points.size(), kUngrouped);
+    std::vector<size_t> groupOf(points.size());
     for (size_t g = 0; g < grouping.byKey.size(); ++g) {
         for (size_t i : grouping.byKey[g])
             groupOf[i] = g;
@@ -233,11 +220,6 @@ Explorer::evaluateAll(const std::vector<DseRequest> &points,
     // Phase B: every point against its group's immutable shared state,
     // with per-worker reusable scratch.
     parallelFor(points.size(), jobs, [&](size_t i) {
-        if (groupOf[i] == kUngrouped) {
-            out[i] = evaluateLegacy(points[i].opt, points[i].cores,
-                                    points[i].label);
-            return;
-        }
         const TraceGroup &grp = groups[groupOf[i]];
         out[i] = evaluatePoint(fw_, *grp.module, grp.prep,
                                points[i].opt, points[i].cores,
@@ -268,8 +250,12 @@ Explorer::evaluateAllUngrouped(const std::vector<DseRequest> &points,
 {
     std::vector<DsePoint> out(points.size());
     parallelFor(points.size(), jobs, [&](size_t i) {
-        out[i] = evaluateLegacy(points[i].opt, points[i].cores,
-                                points[i].label);
+        DsePoint &p = out[i];
+        p.label = points[i].label;
+        p.variants = points[i].opt.variants;
+        p.hw = points[i].opt.hw;
+        p.cores = points[i].cores;
+        fillMetrics(p, fw_, fw_.compile(points[i].opt), p.cores);
     });
     return out;
 }

@@ -63,31 +63,18 @@ struct DseRequest
 };
 
 /**
- * True when the batched engine can group @p opt by trace key: the
- * standard backend stage pipeline with the trace cache enabled.
- * Anything else (stage ablations, --no-trace-cache) takes the legacy
- * per-point compile path, which honors every option. The ONE
+ * Request indices grouped by front-end trace key (groups in
+ * first-appearance order, indices ascending). The ONE grouping
  * definition shared by Explorer::evaluateAll and the multi-process
- * distributor -- master-side grouping must never diverge from
- * worker-side evaluation.
- */
-bool batchableRequest(const CompileOptions &opt);
-
-/**
- * Request indices bucketed for batched evaluation: batchable requests
- * grouped by front-end trace key (groups in first-appearance order,
- * indices ascending), non-batchable leftovers listed separately. The
- * ONE grouping definition shared by Explorer::evaluateAll and the
- * multi-process distributor -- a grouping change that reached only
- * one of them would silently break the bit-identity contract. The
- * curve handle is resolved lazily: a request list with no batchable
- * entry never validates the curve (the distributor defers that to
- * its workers).
+ * distributor -- a grouping change that reached only one of them
+ * would silently break the bit-identity contract. Sweeps run the
+ * standard backend stage pipeline only: a request whose pass list
+ * ablates a backend stage throws FatalError naming its passes
+ * (backend ablation goes through Framework::compile / runBackend).
  */
 struct GroupedRequests
 {
     std::vector<std::vector<size_t>> byKey;
-    std::vector<size_t> ungrouped;
 };
 GroupedRequests groupByTraceKey(const std::string &curve,
                                 const std::vector<DseRequest> &points);
@@ -107,7 +94,8 @@ class Explorer
      * through the process-wide trace cache and the backend runs on the
      * batched engine against the shared (un-cloned) cached trace, so a
      * sweep that varies only the hardware model re-runs just the
-     * backend stages and never deep-copies the trace module.
+     * backend stages and never deep-copies the trace module. Like
+     * groupByTraceKey, rejects a backend-ablated pass list.
      */
     DsePoint evaluate(const CompileOptions &opt, int cores,
                       const std::string &label) const;
@@ -150,8 +138,7 @@ class Explorer
      * Reference oracle for the grouped engine: the pre-batching
      * per-point path (every point independently clones the cached
      * trace and runs the full backend PassManager). Deterministic
-     * fields must match evaluateAll exactly; tests and benches
-     * enforce this.
+     * fields must match evaluateAll exactly; tests enforce this.
      */
     std::vector<DsePoint>
     evaluateAllUngrouped(const std::vector<DseRequest> &points,
@@ -190,7 +177,7 @@ class Explorer
 
     /**
      * As above, but every evaluated point inherits @p base (pass
-     * pipeline, trace-cache flag, part, ...); only the variants are
+     * pipeline, part, hardware, ...); only the variants are
      * swept. `base.jobs` selects the sweep parallelism; the winner is
      * chosen by a stable index-ordered reduction (ties break toward
      * the earlier variant combination), so the result is identical
@@ -217,9 +204,6 @@ class Explorer
     static double score(const DsePoint &p, Objective objective);
 
   private:
-    DsePoint evaluateLegacy(const CompileOptions &opt, int cores,
-                            const std::string &label) const;
-
     Framework fw_;
     std::string curve_;
 };

@@ -147,7 +147,6 @@ putRequest(WireWriter &w, const DseRequest &req)
     w.u32v(static_cast<u32>(opt.passes.size()));
     for (const std::string &p : opt.passes)
         w.str(p);
-    w.boolv(opt.useTraceCache);
     w.i32v(opt.jobs);
     // dseWorkers is deliberately NOT serialized: a worker must never
     // recursively fan out subprocesses for a shipped group.
@@ -167,7 +166,6 @@ getRequest(WireReader &r)
     const u32 n = r.count(4); // u32 length per string
     for (u32 i = 0; i < n; ++i)
         req.opt.passes.push_back(r.str());
-    req.opt.useTraceCache = r.boolv();
     req.opt.jobs = r.i32v();
     return req;
 }

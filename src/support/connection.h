@@ -5,15 +5,10 @@
  * and kill/reap semantics -- and never cares whether the bytes ride a
  * pipe pair to a forked child or a TCP socket to another host.
  *
- * Three implementations:
+ * Two implementations, one local and one remote:
  *
- *   - SubprocessConnection: the PR 5/7 pipe transport (fork/exec, the
+ *   - SubprocessConnection: the pipe transport (fork/exec, the
  *     child's stdin/stdout are the stream; terminate = SIGKILL+reap).
- *   - LoopbackTcpConnection: subprocess lifecycle, socket data path.
- *     The master binds an ephemeral loopback listener, spawns
- *     `<self> dse-worker --connect=127.0.0.1:<port>`, and accepts the
- *     child's connection -- a genuine TCP stream with local kill/reap
- *     identity, so CI exercises the socket path with no remote hosts.
  *   - TcpConnection: a remote `dse-worker --listen=host:port` peer.
  *     terminate() can only close the socket (no pid to signal); the
  *     abandoned remote sees EOF, finishes or discards its group, and
@@ -81,18 +76,6 @@ class Connection
 std::unique_ptr<Connection>
 spawnSubprocessConnection(const std::vector<std::string> &cmd,
                           const std::vector<std::string> &env);
-
-/**
- * Loopback TCP transport: spawn @p cmd with `--connect=127.0.0.1:P`
- * appended (P = a fresh ephemeral listener) and accept the child's
- * connection within @p acceptTimeoutMs. Returns nullptr with @p err
- * set on listen/accept failure -- the child, if spawned, is killed
- * and reaped first.
- */
-std::unique_ptr<Connection>
-spawnLoopbackTcpConnection(const std::vector<std::string> &cmd,
-                           const std::vector<std::string> &env,
-                           int acceptTimeoutMs, std::string *err);
 
 /**
  * Remote TCP transport: connect to a `dse-worker --listen` peer at

@@ -25,6 +25,8 @@
 
 #include "dse/distributor.h"
 #include "dse/explorer.h"
+#include "support/socket.h"
+#include "support/subprocess.h"
 
 namespace finesse {
 namespace {
@@ -95,6 +97,29 @@ smallRequests(const Explorer &ex)
         }
     }
     return reqs;
+}
+
+/**
+ * Spawn `<self> dse-worker --listen=127.0.0.1:0` (the remote worker an
+ * operator would start) and return its address, parsed from the
+ * stdout banner. It serves masters until @p worker is destroyed
+ * (which kills and reaps it), and carries an empty fault plan so an
+ * ambient FINESSE_DSE_FAULT cannot crash the server itself.
+ */
+HostPort
+spawnListenWorker(Subprocess &worker)
+{
+    worker.spawn({selfExePath(), "dse-worker", "--listen=127.0.0.1:0"},
+                 {std::string(kFaultPlanEnv) + "="});
+    std::string banner;
+    char c;
+    while (banner.find('\n') == std::string::npos &&
+           worker.readSome(&c, 1) == 1)
+        banner.push_back(c);
+    const std::string prefix = "dse-worker listening on ";
+    EXPECT_EQ(banner.rfind(prefix, 0), 0u) << banner;
+    return parseHostPort(banner.substr(
+        prefix.size(), banner.size() - prefix.size() - 1));
 }
 
 TEST(ChaosDse, FaultPlanParsesTheFullGrammar)
@@ -549,14 +574,25 @@ TEST(ChaosDse, AmbientPlanSplitsAcrossWorkerAndProxy)
 
 TEST(ChaosDse, NetworkFaultMatrixIsBitIdenticalOnBothTransports)
 {
-    // The tentpole's acceptance sweep: every network fault plan, on
-    // BOTH transports (the proxy interposes on pipes and sockets
-    // alike), must leave the results bit-identical to the in-process
-    // engine. Survivability comes from re-dispatch + respawn +
-    // fallbackLocal; determinism from the evaluation path.
+    // Every network fault plan, on BOTH transports -- spawned pipe
+    // workers and `dse-worker --listen` peers over TCP (the proxy
+    // interposes on pipes and sockets alike) -- must leave the
+    // results bit-identical to the in-process engine. Network faults
+    // run in the master-side proxy and never kill the peer, so the
+    // two listen workers serve every cell. Survivability comes from
+    // re-dispatch + respawn + fallbackLocal; determinism from the
+    // evaluation path.
     Explorer ex("BN254N");
     const std::vector<DseRequest> reqs = smallRequests(ex);
     const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
+
+    Subprocess workerA, workerB;
+    const HostPort a = spawnListenWorker(workerA);
+    const HostPort b = spawnListenWorker(workerB);
+    ASSERT_GT(a.port, 0);
+    ASSERT_GT(b.port, 0);
+    const std::vector<std::string> tcpHosts = {a.describe(),
+                                               b.describe()};
 
     const std::vector<std::string> plans = {
         "drop@frame:1",
@@ -566,17 +602,14 @@ TEST(ChaosDse, NetworkFaultMatrixIsBitIdenticalOnBothTransports)
         "refuse@connect",
         "drop@frame:0", // the Hello itself dies mid-frame
     };
-    for (const DseTransport transport :
-         {DseTransport::Pipe, DseTransport::LoopbackTcp}) {
+    for (const bool tcp : {false, true}) {
         for (const std::string &plan : plans) {
-            SCOPED_TRACE(
-                (transport == DseTransport::Pipe ? "pipe "
-                                                 : "loopback-tcp ") +
-                plan);
+            SCOPED_TRACE((tcp ? "tcp " : "pipe ") + plan);
             DistributorStats stats;
             DistributorOptions opts;
             opts.stats = &stats;
-            opts.transport = transport;
+            if (tcp)
+                opts.hosts = tcpHosts;
             opts.workerFaultPlans = {"", ""};
             opts.networkFaultPlans = {plan};
             opts.livenessTimeoutMs = 1500;
@@ -585,6 +618,8 @@ TEST(ChaosDse, NetworkFaultMatrixIsBitIdenticalOnBothTransports)
                 ex.evaluateAllDistributed(reqs, 2, opts);
             expectSamePoints(ref, got);
             EXPECT_GE(stats.networkFaultsInjected, 1);
+            if (tcp)
+                EXPECT_GE(stats.remoteConnects, 1);
         }
     }
 }

@@ -4,8 +4,9 @@
  * BIT-identical to evaluateAll for workers in {1, 2, 4} -- across a
  * mixed request set, across the full curve catalog, and under a
  * worker killed with SIGKILL mid-group (the re-dispatch path). Also
- * covers bounded-retry exhaustion and worker-side deterministic
- * errors.
+ * covers bounded-retry exhaustion, worker-side deterministic errors,
+ * the rejection of backend-ablated sweep requests and the host-list
+ * parser.
  *
  * This binary is its own worker pool: main() dispatches argv[1] ==
  * "dse-worker" into the worker loop before gtest sees the command
@@ -95,9 +96,8 @@ expectSamePoints(const std::vector<DsePoint> &ref,
 }
 
 /**
- * Mixed request set on BN254N: several trace keys (variants x part),
- * several hardware models per key, a legacy-path request (trace cache
- * disabled -> singleton group) and a backend ablation.
+ * Mixed request set on BN254N: several trace keys (variants x part)
+ * and several hardware models per key.
  */
 std::vector<DseRequest>
 mixedRequests(const Explorer &ex)
@@ -135,13 +135,6 @@ mixedRequests(const Explorer &ex)
         req.label = "finalexp";
         reqs.push_back(std::move(req));
     }
-    {
-        // Legacy per-point path: no trace cache -> singleton group.
-        DseRequest req;
-        req.opt.useTraceCache = false;
-        req.label = "legacy";
-        reqs.push_back(std::move(req));
-    }
     return reqs;
 }
 
@@ -168,45 +161,20 @@ TEST(DistributedDse, MatchesEvaluateAllForWorkers124)
     }
 }
 
-TEST(DistributedDse, LoopbackTcpTransportMatchesEvaluateAll)
-{
-    // The identity contract is transport-independent: the same sweep
-    // over loopback-TCP sockets (master listens on an ephemeral
-    // 127.0.0.1 port, each worker dials back with --connect) must
-    // produce the same bits as the pipe transport and the in-process
-    // engine, for every pool width.
-    Explorer ex("BN254N");
-    const std::vector<DseRequest> reqs = mixedRequests(ex);
-    const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
-
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("workers " + std::to_string(workers));
-        DistributorStats stats;
-        DistributorOptions opts;
-        opts.stats = &stats;
-        opts.transport = DseTransport::LoopbackTcp;
-        const std::vector<DsePoint> got =
-            ex.evaluateAllDistributed(reqs, workers, opts);
-        expectSamePoints(ref, got);
-        if (!ambientFaults()) {
-            EXPECT_EQ(stats.workerDeaths, 0);
-            EXPECT_EQ(stats.redispatches, 0);
-        }
-    }
-}
-
 /**
  * Spawn `<self> dse-worker --listen=127.0.0.1:0` and return its
  * address, parsed from the stdout banner (the ephemeral-port
  * discovery contract). @p maxAccepts bounds the server's lifetime so
- * wait() below returns.
+ * wait() below returns. The server carries an empty fault plan: an
+ * ambient `hang` would otherwise wedge it for good, and wait() with
+ * it.
  */
 HostPort
 spawnListenWorker(Subprocess &worker, int maxAccepts)
 {
     worker.spawn({selfExePath(), "dse-worker", "--listen=127.0.0.1:0",
                   "--max-accepts=" + std::to_string(maxAccepts)},
-                 {});
+                 {std::string(kFaultPlanEnv) + "="});
     std::string banner;
     char c;
     while (banner.find('\n') == std::string::npos &&
@@ -286,40 +254,6 @@ TEST(DistributedDse, AllRemoteHostsDeadDegradesToLocalWorkers)
     EXPECT_EQ(stats.remoteConnects, 0);
 }
 
-TEST(DistributedDse, QuarantinedHostStaysEmptyWithoutDegrade)
-{
-    // remoteDegradeToLocal=false: a dead remote's slot must NOT
-    // refill locally. With fallbackLocal the sweep still completes
-    // in-process -- results identical, zero workers ever spawned.
-    std::string err;
-    int deadPort = 0;
-    HostPort loop;
-    loop.host = "127.0.0.1";
-    const int probe = tcpListen(loop, 1, &err, &deadPort);
-    ASSERT_GE(probe, 0) << err;
-    ASSERT_EQ(::close(probe), 0);
-
-    Explorer ex("BN254N");
-    std::vector<DseRequest> reqs;
-    reqs.emplace_back();
-    reqs.back().opt.part = TracePart::FinalExpOnly;
-    reqs.back().label = "solo";
-    const std::vector<DsePoint> ref = ex.evaluateAll(reqs, 1);
-
-    DistributorStats stats;
-    DistributorOptions opts;
-    opts.stats = &stats;
-    opts.hosts = {"127.0.0.1:" + std::to_string(deadPort)};
-    opts.remoteDegradeToLocal = false;
-    opts.maxRespawns = 2;
-    const std::vector<DsePoint> got =
-        ex.evaluateAllDistributed(reqs, 1, opts);
-    expectSamePoints(ref, got);
-    EXPECT_EQ(stats.remoteDegraded, 0);
-    EXPECT_EQ(stats.workersSpawned, 0);
-    EXPECT_GE(stats.fallbackGroups, 1);
-}
-
 TEST(DistributedDse, MatchesEvaluateAllAcrossFullCatalog)
 {
     // Every catalog curve, two hardware models against the default
@@ -360,7 +294,7 @@ TEST(DistributedDse, Kill9MidGroupRedispatchesAndStaysIdentical)
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    opts.killWorkerIndex = 0;
+    opts.workerFaultPlans = {"kill@group:0", ""};
     opts.maxRespawns = 0; // a replacement would replay the kill plan
     const std::vector<DsePoint> got =
         ex.evaluateAllDistributed(reqs, 2, opts);
@@ -389,7 +323,7 @@ TEST(DistributedDse, AllWorkersDeadFailsWithBoundedRetries)
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    opts.killAllWorkers = true;
+    opts.workerFaultPlans = {"kill@group:0"};
     opts.maxGroupRetries = 5;
     opts.fallbackLocal = false;
     EXPECT_THROW(ex.evaluateAllDistributed(reqs, 2, opts), FatalError);
@@ -399,21 +333,74 @@ TEST(DistributedDse, AllWorkersDeadFailsWithBoundedRetries)
 
 TEST(DistributedDse, WorkerSideErrorPropagatesWithoutRetry)
 {
-    // An unknown curve is a deterministic failure: the worker reports
-    // it over the wire (WorkerError frame) and the master propagates
-    // instead of burning retries on it. The request disables the
-    // trace cache so the master never needs the curve handle itself
-    // (singleton group) -- the error must travel the wire.
+    // A hardware model that violates the paper's structural
+    // constraints (Long latency below Short) is a deterministic
+    // failure the master cannot see: grouping never looks at the
+    // hardware, so the group ships and the worker's backend rejects
+    // it (hw.validate). The worker reports it over the wire
+    // (WorkerError frame) and the master propagates instead of
+    // burning retries on it.
     std::vector<DseRequest> reqs;
     reqs.emplace_back();
-    reqs.back().opt.useTraceCache = false;
+    reqs.back().opt.part = TracePart::FinalExpOnly;
+    reqs.back().opt.hw.longLat = 2;
+    reqs.back().opt.hw.shortLat = 8;
     DistributorStats stats;
     DistributorOptions opts;
     opts.stats = &stats;
-    EXPECT_THROW(distributeEvaluate("NOT-A-CURVE", reqs, 1, opts),
-                 FatalError);
-    if (!ambientFaults())
+    try {
+        distributeEvaluate("BN254N", reqs, 1, opts);
+        ADD_FAILURE() << "expected a worker-side FatalError";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        if (!ambientFaults())
+            EXPECT_NE(what.find("dse worker failed"), std::string::npos)
+                << what;
+    }
+    if (!ambientFaults()) {
+        EXPECT_EQ(stats.dispatches, 1);
         EXPECT_EQ(stats.redispatches, 0);
+    }
+}
+
+TEST(DistributedDse, BackendAblatedRequestIsRejectedByBothEngines)
+{
+    // Sweeps run the standard backend pipeline. A request ablating a
+    // backend stage fails loudly in groupByTraceKey -- the choke point
+    // evaluateAll and the distributor share -- with one message that
+    // names the pass list, before any worker is spawned.
+    Explorer ex("BN254N");
+    std::vector<DseRequest> reqs = mixedRequests(ex);
+    reqs.back().opt.passes = {"bankalloc", "packsched"};
+
+    std::string inProcess, distributed;
+    try {
+        ex.evaluateAll(reqs, 1);
+    } catch (const FatalError &e) {
+        inProcess = e.what();
+    }
+    DistributorStats stats;
+    DistributorOptions opts;
+    opts.stats = &stats;
+    try {
+        ex.evaluateAllDistributed(reqs, 2, opts);
+    } catch (const FatalError &e) {
+        distributed = e.what();
+    }
+    EXPECT_NE(inProcess.find("bankalloc,packsched"), std::string::npos)
+        << inProcess;
+    EXPECT_EQ(distributed, inProcess);
+    EXPECT_EQ(stats.workersSpawned, 0);
+    EXPECT_THROW(ex.evaluate(reqs.back().opt, 1, "ablated"), FatalError);
+}
+
+TEST(DistributedDse, ParseHostListDropsEmptyEntries)
+{
+    using Hosts = std::vector<std::string>;
+    EXPECT_EQ(parseHostList("a:1,,b:2"), (Hosts{"a:1", "b:2"}));
+    EXPECT_EQ(parseHostList("a:1,b:2,"), (Hosts{"a:1", "b:2"}));
+    EXPECT_EQ(parseHostList("local"), (Hosts{"local"}));
+    EXPECT_EQ(parseHostList(""), Hosts{});
 }
 
 TEST(DistributedDse, EmptyRequestListReturnsEmpty)

@@ -178,9 +178,9 @@ TEST(PassPipeline, BackendPrerequisitesEnforced)
 
 TEST(PassPipeline, PerPassDeltasSumToAggregateOnPairing)
 {
+    clearTraceCache(); // the front end runs, not a cache hit
     Framework fw("BN254N");
     CompileOptions opt;
-    opt.useTraceCache = false;
     const CompileResult res = fw.compile(opt);
     const OptStats &st = res.opt;
     EXPECT_GT(st.instrsBefore, st.instrsAfter);
@@ -282,13 +282,13 @@ TEST(TraceCache, HitMissSemantics)
     EXPECT_EQ(s.misses, 4u);
     EXPECT_EQ(s.entries, 4u);
 
-    // Cache off: counters untouched, result identical.
-    CompileOptions uncached = opt;
-    uncached.useTraceCache = false;
-    const CompileResult fresh = fw.compile(uncached);
+    // Cold front end after clearTraceCache(): one fresh trace, result
+    // identical to the first compile.
+    clearTraceCache();
+    const CompileResult fresh = fw.compile(opt);
     s = traceCacheStats();
-    EXPECT_EQ(s.misses, 4u);
-    EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(fresh.instrs(), first.instrs());
     EXPECT_EQ(fresh.binary.words, first.binary.words);
 

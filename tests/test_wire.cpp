@@ -56,7 +56,6 @@ richRequest()
     req.opt.listSchedule = false;
     req.opt.part = TracePart::MillerOnly;
     req.opt.passes = {"constfold", "gvn", "dce"};
-    req.opt.useTraceCache = false;
     req.opt.jobs = 7;
     return req;
 }
@@ -227,6 +226,13 @@ TEST(Wire, HelloRejectReasonGatesVersionAndCatalogHash)
     wire::Hello wrongHash = ok;
     wrongHash.catalogHash ^= 1;
     EXPECT_FALSE(helloRejectReason(wrongHash).empty());
+
+    // A version-2 worker still ships the dropped trace-cache flag in
+    // every request; it must be refused at the handshake.
+    wire::Hello v2 = ok;
+    v2.version = 2;
+    EXPECT_NE(helloRejectReason(v2).find("protocol version mismatch"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------- frame assembly

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs lint: the user-facing surface must be documented.
+"""Docs lint: the user-facing surface must be documented, and only it.
 
-Two checks, both extracted from the code (never from a hand-kept
+Forward checks, both extracted from the code (never from a hand-kept
 list, so the lint cannot go stale):
 
   1. every finesse_cli subcommand in src/core/cliusage.h
@@ -12,6 +12,12 @@ list, so the lint cannot go stale):
 must be mentioned in README.md or docs/operations.md. A name missing
 from both fails the build -- adding a subcommand or env knob without
 documenting it is a CI failure, not doc drift.
+
+Reverse check: every FINESSE_* name README.md or docs/operations.md
+mentions must still appear somewhere in src/, tools/, bench/, tests/
+or a CMakeLists.txt (FINESSE_SANITIZE is a CMake cache variable, not
+a string literal). Deleting a knob from the code without deleting its
+documentation fails the build too.
 
 Usage: python3 tools/docs_check.py [--repo-root DIR]
 """
@@ -24,6 +30,21 @@ import sys
 CODE_DIRS = ["src", "tools", "bench", "tests"]
 DOC_FILES = ["README.md", "docs/operations.md"]
 CODE_SUFFIXES = {".h", ".cpp", ".py"}
+NAME_RE = re.compile(r"FINESSE_[A-Z0-9_]+")
+
+
+def code_files(root: pathlib.Path, cmake: bool):
+    """Files under CODE_DIRS with a code suffix; with @p cmake, also
+    every CMakeLists.txt there and at the repo root."""
+    if cmake:
+        yield root / "CMakeLists.txt"
+    for d in CODE_DIRS:
+        for path in (root / d).rglob("*"):
+            if not path.is_file():
+                continue
+            if path.suffix in CODE_SUFFIXES or (
+                    cmake and path.name == "CMakeLists.txt"):
+                yield path
 
 
 def cli_commands(root: pathlib.Path) -> set:
@@ -41,14 +62,19 @@ def cli_commands(root: pathlib.Path) -> set:
 def env_vars(root: pathlib.Path) -> set:
     """FINESSE_* env-var string literals anywhere in the code."""
     found = set()
-    for d in CODE_DIRS:
-        for path in (root / d).rglob("*"):
-            if path.suffix not in CODE_SUFFIXES or not path.is_file():
-                continue
-            found.update(
-                re.findall(r'"(FINESSE_[A-Z0-9_]+)"', path.read_text()))
+    for path in code_files(root, cmake=False):
+        found.update(
+            re.findall(r'"(FINESSE_[A-Z0-9_]+)"', path.read_text()))
     if not found:
         sys.exit("docs_check: no FINESSE_* env vars found -- broken scan?")
+    return found
+
+
+def code_names(root: pathlib.Path) -> set:
+    """Every FINESSE_* token in the code and CMake files."""
+    found = set()
+    for path in code_files(root, cmake=True):
+        found.update(NAME_RE.findall(path.read_text()))
     return found
 
 
@@ -74,11 +100,19 @@ def main() -> int:
         if name not in docs:
             missing.append(f"environment variable {name}")
 
+    stale = sorted(set(NAME_RE.findall(docs)) - code_names(root))
+
     if missing:
         print("docs_check: FAIL: undocumented surface (add to README.md "
               "or docs/operations.md):")
         for item in missing:
             print(f"  - {item}")
+    if stale:
+        print("docs_check: FAIL: documented names no code or CMake file "
+              "mentions (remove from README.md / docs/operations.md):")
+        for name in stale:
+            print(f"  - {name}")
+    if missing or stale:
         return 1
 
     print(f"docs_check: OK: {len(cli_commands(root))} subcommands and "

@@ -101,11 +101,9 @@ main(int argc, char **argv)
 
     std::vector<std::string> positional;
     bool passStats = false;
-    bool noTraceCache = false;
     int jobs = -1; // -1 = not on the command line; config/default wins
     int dseWorkers = -1;
     std::string passList;
-    std::string dseTransport;
     std::string dseHosts;
     u64 searchSeed = 1;
     int generations = 8;
@@ -122,8 +120,6 @@ main(int argc, char **argv)
         }
         if (arg == "--pass-stats") {
             passStats = true;
-        } else if (arg == "--no-trace-cache") {
-            noTraceCache = true;
         } else if (arg.rfind("--passes=", 0) == 0) {
             passList = arg.substr(9);
         } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -137,14 +133,6 @@ main(int argc, char **argv)
             dseWorkers = parseCount(arg.substr(14));
             if (dseWorkers < 0) {
                 std::fprintf(stderr, "bad --dse-workers value: %s\n",
-                             arg.c_str());
-                return usage();
-            }
-        } else if (arg.rfind("--dse-transport=", 0) == 0) {
-            dseTransport = arg.substr(16);
-            if (dseTransport != "pipe" &&
-                dseTransport != "loopback-tcp") {
-                std::fprintf(stderr, "bad --dse-transport value: %s\n",
                              arg.c_str());
                 return usage();
             }
@@ -287,8 +275,6 @@ main(int argc, char **argv)
         CompileOptions opt = optionsFromConfig(cfg);
         if (!passList.empty())
             opt.passes = parsePassList(passList);
-        if (noTraceCache)
-            opt.useTraceCache = false;
         if (jobs >= 0)
             opt.jobs = jobs;
         if (dseWorkers >= 0)
@@ -310,28 +296,13 @@ main(int argc, char **argv)
         DistributorStats dstats;
         DistributorOptions dopts;
         applyDistributorConfig(cfg, dopts);
-        if (dseTransport == "pipe")
-            dopts.transport = DseTransport::Pipe;
-        else if (dseTransport == "loopback-tcp")
-            dopts.transport = DseTransport::LoopbackTcp;
-        if (!dseHosts.empty()) {
-            dopts.hosts.clear();
-            size_t from = 0;
-            while (from <= dseHosts.size()) {
-                size_t comma = dseHosts.find(',', from);
-                if (comma == std::string::npos)
-                    comma = dseHosts.size();
-                if (comma > from)
-                    dopts.hosts.push_back(
-                        dseHosts.substr(from, comma - from));
-                from = comma + 1;
-            }
-        }
+        if (!dseHosts.empty())
+            dopts.hosts = parseHostList(dseHosts);
         dopts.stats = &dstats;
 
         if (command == "dse") {
             Explorer ex(curve);
-            // The sweep inherits the configured pipeline/cache options;
+            // The sweep inherits the configured pipeline options;
             // only the operator variants are explored, fanned out over
             // opt.jobs worker threads (identical result for any value).
             const auto t0 = std::chrono::steady_clock::now();
